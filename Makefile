@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ci
+.PHONY: all build vet test test-cores perfbench-check race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ci
 
 all: build
 
@@ -15,6 +15,18 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 on one core and on every core: the parallel kernel search space
+# and the scheduler's multi-worker paths only run with GOMAXPROCS > 1.
+# -count=1 because the test cache does not key on GOMAXPROCS.
+test-cores:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=$$(nproc) $(GO) test -count=1 ./...
+
+# The benchmark is its own module; vet and test it so a change to the
+# root API or internal/server cannot break its build unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -104,6 +116,7 @@ bench-smoke:
 
 # The allocation guards on the streaming hot paths (TestStreamSteadyStateAllocs,
 # TestDecodeStreamSteadyStateAllocs and the full-server
-# TestServerSteadyStateAllocs) run as part of `test`, so `ci` gates on the
-# encode, verified-decode and daemon PUT/GET paths staying allocation-free.
-ci: build vet test race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench-smoke
+# TestServerSteadyStateAllocs) run as part of `test-cores`, so `ci` gates on
+# the encode, verified-decode and daemon PUT/GET paths staying
+# allocation-free.
+ci: build vet test-cores perfbench-check race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench-smoke

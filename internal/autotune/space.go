@@ -81,8 +81,17 @@ func (s Space) Contains(p Params) bool {
 	if p.Parallel == te.ParallelNone && p.Workers != 1 {
 		return false
 	}
+	if p.Parallel == te.ParallelBlocks && !s.splitsColumns(p.BlockWords) {
+		return false
+	}
 	return okBlock && okFanin && p.Workers >= 1 && p.Workers <= s.MaxWorkers
 }
+
+// splitsColumns reports whether a BlockWords tile splits the column axis.
+// Block-parallel schedules need the split (Compile rejects them
+// otherwise), so every sampler, enumerator and repair of the space asks
+// this one predicate.
+func (s Space) splitsColumns(blockWords int) bool { return blockWords < s.N }
 
 // Default returns a sensible untuned starting point (whole-row tiles, no
 // fusion, serial) — what a naive lowering would do.
@@ -101,10 +110,14 @@ func (s Space) Random(rng *rand.Rand) Params {
 		Workers:    1,
 	}
 	if s.MaxWorkers > 1 {
-		switch rng.Intn(3) {
-		case 0:
-			p.Parallel = te.ParallelRows
+		axes := 2 // none, rows
+		if s.splitsColumns(p.BlockWords) {
+			axes = 3 // none, rows, blocks
+		}
+		switch rng.Intn(axes) {
 		case 1:
+			p.Parallel = te.ParallelRows
+		case 2:
 			p.Parallel = te.ParallelBlocks
 		}
 		if p.Parallel != te.ParallelNone {
@@ -135,6 +148,9 @@ func (s Space) Mutate(rng *rand.Rand, p Params) Params {
 			r := s.Random(rng)
 			q.Parallel, q.Workers = r.Parallel, r.Workers
 		}
+	}
+	if q.Parallel == te.ParallelBlocks && !s.splitsColumns(q.BlockWords) {
+		q.Parallel = te.ParallelRows
 	}
 	return q
 }
@@ -175,7 +191,7 @@ func (s Space) Nearest(p Params) Params {
 	if s.MaxWorkers == 1 {
 		out.Parallel = te.ParallelNone
 	}
-	if out.Parallel == te.ParallelBlocks && out.BlockWords >= s.N {
+	if out.Parallel == te.ParallelBlocks && !s.splitsColumns(out.BlockWords) {
 		out.Parallel = te.ParallelRows
 	}
 	if out.Parallel == te.ParallelNone {
@@ -189,11 +205,15 @@ func (s Space) Nearest(p Params) Params {
 // Size returns the number of points in the space (for grid enumeration and
 // trial budgeting).
 func (s Space) Size() int {
-	par := 1
-	if s.MaxWorkers > 1 {
-		par = 1 + 2*(s.MaxWorkers-1)
+	n := 0
+	for _, bw := range s.Blocks {
+		axes := 1 // rows
+		if s.splitsColumns(bw) {
+			axes = 2 // rows, blocks
+		}
+		n += 1 + axes*(s.MaxWorkers-1)
 	}
-	return len(s.Blocks) * len(s.Fanins) * 2 * 2 * par
+	return n * len(s.Fanins) * 2 * 2
 }
 
 // All enumerates every point of the space (grid search).
@@ -205,9 +225,10 @@ func (s Space) All() []Params {
 				for _, st := range []bool{false, true} {
 					out = append(out, Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelNone, Workers: 1})
 					for w := 2; w <= s.MaxWorkers; w++ {
-						out = append(out,
-							Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelRows, Workers: w},
-							Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelBlocks, Workers: w})
+						out = append(out, Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelRows, Workers: w})
+						if s.splitsColumns(bw) {
+							out = append(out, Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelBlocks, Workers: w})
+						}
 					}
 				}
 			}

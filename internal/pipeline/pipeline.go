@@ -1,33 +1,31 @@
-// Package pipeline is the concurrent streaming engine behind the public
+// Package pipeline is the streaming engine behind the public
 // EncodeStream/DecodeStream API. The paper's §5 argument is that an EC
 // library wins or loses on integration: the compiled kernel is only as
-// fast as the path that feeds it contiguous stripes. A serial stream loop
-// leaves the kernel idle behind I/O on multicore, so this package overlaps
-// three stages over a bounded ring of stripe buffers drawn from a
-// stripe.Pool:
+// fast as the loop that feeds it contiguous stripes. This package has one
+// such loop for both directions, split into stages and drivers.
 //
-//	reader  — fills the data half of a free ring slot from src
-//	workers — run the compiled kernel on up to Workers stripes at once
-//	writer  — scatters finished stripes to the k+r shard writers,
-//	          strictly in stripe order (sequence-numbered reordering)
+// A stage is one coding direction, expressed as three steps over a stripe
+// buffer (a ring slot drawn from a stripe.Pool):
 //
-// The kernel stage no longer owns its goroutines. Each stripe is
-// submitted as a task to an internal/sched scheduler — a bounded worker
-// pool with per-stream FIFO queues and fair round-robin dispatch — so a
-// server shares ONE pool across every concurrent stream instead of
-// spawning (and tearing down) a goroutine set per request. Config.Sched
-// selects the shared pool; without one, Workers > 1 builds a private
-// per-call scheduler (the legacy WithStreamWorkers behavior, preserved
-// exactly: shard output is byte-identical either way), and Workers == 1
-// keeps the fully serial, goroutine-free baseline loop.
+//	fill   — the encoder reads and zero-pads a data stripe from src; the
+//	         decoder gathers k+r shard units (nil readers mark losses),
+//	         verifying each as it lands (Config.Verify) and demoting
+//	         shards that fail — checksum mismatch, truncation, read
+//	         error — to erased mid-stream instead of failing the read
+//	kernel — the encoder computes parity; the decoder reconstructs the
+//	         missing data units, only for stripes that lost one
+//	emit   — the encoder scatters the k+r units to the shard writers; the
+//	         decoder writes the data units to dst, trimmed to the payload
 //
-// Decode runs the same ring in reverse: the reader gathers k+r shard
-// units per stripe (nil readers mark losses), optionally verifying each
-// unit against a per-stripe checksum as it lands (Config.Verify) and
-// demoting shards that fail — checksum mismatch, truncation, read error —
-// to erased mid-stream instead of failing the read; workers reconstruct
-// missing data units, and the in-order writer emits the data stripe to
-// dst.
+// A driver runs a stage over the whole stream, and there are two. The
+// ring driver overlaps the steps over a bounded ring of slots: a reader
+// goroutine fills slots, kernels run as tasks on an internal/sched
+// scheduler (one shared pool serves every stream of a server), and the
+// calling goroutine emits finished stripes strictly in stripe order, so
+// output is byte-identical however the tasks interleave. The inline
+// driver runs fill, kernel and emit back to back on the caller's
+// goroutine over one slot, with no goroutines at all. Config.Sched == nil
+// is the one test that picks the inline driver.
 //
 // Backpressure falls out of the ring: at most Depth stripes are in flight,
 // so every channel send below is non-blocking by construction (each
@@ -84,16 +82,10 @@ type UnitVerifier interface {
 
 // Config sizes one pipeline run.
 type Config struct {
-	// Workers is the number of concurrent kernel goroutines; 1 selects a
-	// fully serial loop with no goroutines at all (the baseline path).
-	// Ignored when Sched is set — the shared pool's size governs.
-	Workers int
-	// Sched, when non-nil, is the shared scheduler the kernel stage
-	// submits stripe tasks to. The run creates one stream queue on it and
-	// closes that queue before returning; the scheduler itself is a
-	// server-lifetime resource the caller owns. When nil and Workers > 1,
-	// a private scheduler is built for the call and torn down after — the
-	// legacy per-call pool.
+	// Sched, when non-nil, runs the kernel step: the run creates one
+	// stream queue on it and closes that queue before returning; the
+	// scheduler itself belongs to the caller. Nil selects the inline
+	// driver — one slot, no goroutines.
 	Sched *sched.Scheduler
 	// Depth is the ring size: the maximum number of stripes in flight.
 	Depth int
@@ -107,10 +99,10 @@ type Config struct {
 	// gathers it (encode ignores it). Failing units demote their shard —
 	// see Stats.Demoted — instead of failing the stream.
 	Verify UnitVerifier
-	// Ctx cancels the run: the stages observe it between stripes (the
-	// serial paths check it per iteration; the pipelined paths latch it
-	// into the failure broadcast), so a canceled stream stops encoding,
-	// stops writing, releases its ring and returns an error wrapping
+	// Ctx cancels the run: the drivers observe it between stripes (the
+	// inline driver checks it per stripe; the ring driver latches it into
+	// the failure broadcast), so a canceled stream stops coding, stops
+	// writing, releases its ring and returns an error wrapping
 	// context.Cause within one stripe's worth of work. Nil means
 	// context.Background() — never canceled.
 	Ctx context.Context
@@ -129,14 +121,15 @@ type Stats struct {
 	// BytesOut is the number of bytes written to the sink side: shard
 	// writers for encode, dst for decode.
 	BytesOut int64
-	// Workers and Depth echo the effective pipeline shape.
+	// Workers and Depth echo the effective pipeline shape: Workers is the
+	// scheduler's pool size, or 1 on the inline driver.
 	Workers int
 	Depth   int
 	// ReadStall is time blocked reading the input side (src for encode,
 	// shard readers for decode) — input I/O bound.
 	ReadStall time.Duration
 	// EncodeStall is time the in-order writer waited for the next stripe
-	// to come out of the kernel stage (on the serial path: kernel time
+	// to come out of the kernel stage (on the inline driver: kernel time
 	// itself) — compute bound.
 	EncodeStall time.Duration
 	// WriteStall is time blocked writing the output side — output I/O
@@ -154,11 +147,11 @@ type Stats struct {
 }
 
 // slot is one ring entry: a pooled stripe buffer, the per-slot unit
-// pointer table decode workers hand to ReconstructData, the metadata of
+// pointer table the decoder hands to ReconstructData, the metadata of
 // the stripe currently occupying the slot, and one preallocated kernel
 // task bound to the slot. Carrying the stripe state in the slot (instead
 // of a per-stripe job struct captured by a fresh closure) is what keeps
-// the pipelined paths allocation-free per stripe: the reader writes
+// the ring driver allocation-free per stripe: the reader writes
 // seq/n/rebuild before submitting s.run, and the channel/scheduler
 // handoffs order those writes against the task and the in-order writer.
 type slot struct {
@@ -166,9 +159,20 @@ type slot struct {
 	work [][]byte
 
 	seq     int64
-	n       int    // payload bytes this stripe carries
+	n       int64  // decode: payload bytes this stripe emits
 	rebuild bool   // decode: some data unit of this stripe is missing
 	run     func() // kernel task; built once per run at ring setup
+}
+
+// stage is one coding direction. A driver calls fill from one goroutine
+// in stripe order (s.seq is already set), kernel from any goroutine, and
+// emit from one goroutine in stripe order. fill reports false, with no
+// stripe loaded, once the stream is exhausted; emit returns the bytes it
+// wrote.
+type stage interface {
+	fill(s *slot) (bool, error)
+	kernel(s *slot) error
+	emit(s *slot) (int64, error)
 }
 
 // ctxErr wraps a context's cancellation cause into the stream error the
@@ -183,14 +187,8 @@ func norm(c Codec, cfg Config) (Config, error) {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	if cfg.Workers < 1 {
-		return cfg, fmt.Errorf("pipeline: workers must be >= 1, have %d", cfg.Workers)
-	}
 	if cfg.Depth < 1 {
 		return cfg, fmt.Errorf("pipeline: depth must be >= 1, have %d", cfg.Depth)
-	}
-	if cfg.Depth < cfg.Workers {
-		cfg.Depth = cfg.Workers
 	}
 	total, unit := c.K()+c.R(), c.UnitSize()
 	if cfg.Pool == nil {
@@ -206,38 +204,53 @@ func norm(c Codec, cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// ensureSched attaches a scheduler when the pipelined path needs one:
-// legacy Workers > 1 calls without a shared pool get a private per-call
-// scheduler, torn down by the returned stop func. Serial (Workers == 1,
-// no Sched) runs stay scheduler-free.
-func ensureSched(cfg Config) (Config, func()) {
-	if cfg.Sched != nil || cfg.Workers == 1 {
-		return cfg, func() {}
+// drive runs sg to completion on the driver cfg.Sched selects. one is the
+// stage's own slot for the inline driver; drive lends it a pool buffer.
+func drive(sg stage, one *slot, cfg Config) (Stats, error) {
+	st := Stats{Workers: 1, Depth: cfg.Depth}
+	start := time.Now()
+	var err error
+	if cfg.Sched == nil {
+		err = runInline(sg, one, cfg, &st)
+	} else {
+		st.Workers = cfg.Sched.Workers()
+		err = runRing(sg, cfg, &st)
 	}
-	s := sched.New(sched.Config{Workers: cfg.Workers})
-	cfg.Sched = s
-	return cfg, s.Close
+	st.Elapsed = time.Since(start)
+	return st, err
 }
 
-// ring draws Depth slots from the pool. release returns them.
-func ring(c Codec, cfg Config) ([]*slot, func(), error) {
-	slots := make([]*slot, cfg.Depth)
-	for i := range slots {
-		b, err := cfg.Pool.Get()
+// runInline is the goroutine-free driver: fill, kernel and emit back to
+// back over one slot.
+func runInline(sg stage, s *slot, cfg Config, st *Stats) error {
+	buf, err := cfg.Pool.Get()
+	if err != nil {
+		return err
+	}
+	defer cfg.Pool.Put(buf) //nolint:errcheck // geometry matches by construction
+	s.buf = buf
+	for seq := int64(0); ; seq++ {
+		if cfg.Ctx.Err() != nil {
+			return ctxErr(cfg.Ctx)
+		}
+		s.seq = seq
+		if ok, err := sg.fill(s); !ok || err != nil {
+			return err
+		}
+		t0 := time.Now()
+		if err := sg.kernel(s); err != nil {
+			return err
+		}
+		st.EncodeStall += time.Since(t0)
+		t1 := time.Now()
+		n, err := sg.emit(s)
+		st.WriteStall += time.Since(t1)
 		if err != nil {
-			for _, s := range slots[:i] {
-				cfg.Pool.Put(s.buf) //nolint:errcheck // geometry matches by construction
-			}
-			return nil, nil, err
+			return err
 		}
-		slots[i] = &slot{buf: b, work: make([][]byte, c.K()+c.R())}
+		st.Stripes++
+		st.BytesOut += n
 	}
-	release := func() {
-		for _, s := range slots {
-			cfg.Pool.Put(s.buf) //nolint:errcheck // geometry matches by construction
-		}
-	}
-	return slots, release, nil
 }
 
 // failer latches the first error and broadcasts cancellation.
@@ -246,8 +259,6 @@ type failer struct {
 	err  error
 	done chan struct{}
 }
-
-func newFailer() *failer { return &failer{done: make(chan struct{})} }
 
 func (f *failer) fail(err error) {
 	f.once.Do(func() {
@@ -265,135 +276,56 @@ func (f *failer) failed() bool {
 	}
 }
 
-// Encode streams src through the codec into the k+r shard writers and
-// returns the payload byte count. The caller must have validated shards
-// (length k+r, no nils); this is rechecked cheaply here because the bench
-// harness calls the package directly.
-func Encode(c Codec, src io.Reader, shards []io.Writer, cfg Config) (int64, Stats, error) {
-	var st Stats
-	cfg, err := norm(c, cfg)
-	if err != nil {
-		return 0, st, err
-	}
-	if len(shards) != c.K()+c.R() {
-		return 0, st, fmt.Errorf("pipeline: %d shard writers, want k+r=%d", len(shards), c.K()+c.R())
-	}
-	if cfg.Ctx.Err() != nil {
-		return 0, st, ctxErr(cfg.Ctx)
-	}
-	cfg, stopSched := ensureSched(cfg)
-	defer stopSched()
-	st.Workers, st.Depth = cfg.Workers, cfg.Depth
-	if cfg.Sched != nil {
-		st.Workers = cfg.Sched.Workers()
-	}
-	start := time.Now()
-	var total int64
-	if cfg.Sched == nil {
-		total, err = encodeSerial(c, src, shards, cfg, &st)
-	} else {
-		total, err = encodePipelined(c, src, shards, cfg, &st)
-	}
-	st.Elapsed = time.Since(start)
-	return total, st, err
-}
-
-func encodeSerial(c Codec, src io.Reader, shards []io.Writer, cfg Config, st *Stats) (int64, error) {
-	k, r, unit := c.K(), c.R(), c.UnitSize()
-	buf, err := cfg.Pool.Get()
-	if err != nil {
-		return 0, err
-	}
-	defer cfg.Pool.Put(buf) //nolint:errcheck // geometry matches by construction
-	raw := buf.Raw()
-	data, parity := raw[:k*unit], raw[k*unit:(k+r)*unit]
-
-	var total int64
-	for {
-		if cfg.Ctx.Err() != nil {
-			return total, ctxErr(cfg.Ctx)
-		}
-		t0 := time.Now()
-		n, err := io.ReadFull(src, data)
-		st.ReadStall += time.Since(t0)
-		total += int64(n)
-		if errors.Is(err, io.EOF) {
-			break // clean end on a stripe boundary
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			clear(data[n:])
-			err = nil
-		}
-		if err != nil {
-			return total, fmt.Errorf("gemmec: read source: %w", err)
-		}
-		t1 := time.Now()
-		if err := c.Encode(data, parity); err != nil {
-			return total, err
-		}
-		st.EncodeStall += time.Since(t1)
-		t2 := time.Now()
-		werr := writeStripe(shards, raw, k, r, unit)
-		st.WriteStall += time.Since(t2)
-		if werr != nil {
-			return total, werr
-		}
-		st.Stripes++
-		st.BytesOut += int64((k + r) * unit)
-		if n < len(data) {
-			break // padded final stripe consumed the EOF
-		}
-	}
-	st.BytesIn = total
-	return total, nil
-}
-
-func encodePipelined(c Codec, src io.Reader, shards []io.Writer, cfg Config, st *Stats) (int64, error) {
-	k, r, unit := c.K(), c.R(), c.UnitSize()
-	stripeBytes := k * unit
-	slots, release, err := ring(c, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-
+// runRing is the overlapped driver: a reader goroutine fills ring slots
+// and submits each slot's kernel task to a stream queue on cfg.Sched, and
+// this goroutine emits finished stripes in stripe order.
+func runRing(sg stage, cfg Config, st *Stats) error {
+	f := &failer{done: make(chan struct{})}
 	free := make(chan *slot, cfg.Depth)
 	results := make(chan *slot, cfg.Depth)
-	f := newFailer()
-	// One encode task per ring slot, built before traffic: the reader only
-	// stamps seq/n and submits, so steady-state stripes allocate nothing.
-	for _, s := range slots {
-		s := s
+	slots := make([]*slot, 0, cfg.Depth)
+	defer func() {
+		for _, s := range slots {
+			cfg.Pool.Put(s.buf) //nolint:errcheck // geometry matches by construction
+		}
+	}()
+	// One kernel task per ring slot, built before traffic: the reader only
+	// stamps the slot and submits, so steady-state stripes allocate
+	// nothing.
+	for len(slots) < cfg.Depth {
+		b, err := cfg.Pool.Get()
+		if err != nil {
+			return err
+		}
+		s := &slot{buf: b, work: make([][]byte, cfg.Pool.K())}
 		s.run = func() {
 			if f.failed() {
-				return // drain without encoding
+				return // drain without coding
 			}
-			raw := s.buf.Raw()
-			if err := c.Encode(raw[:stripeBytes], raw[stripeBytes:(k+r)*unit]); err != nil {
+			if err := sg.kernel(s); err != nil {
 				f.fail(err)
 				return
 			}
 			results <- s
 		}
+		slots = append(slots, s)
 		free <- s
 	}
-	// Cancellation rides the existing failure broadcast: the moment the
-	// context dies, every stage sees f.done and drains. AfterFunc costs
-	// nothing on the clean path (no goroutine until cancellation).
+	// Cancellation rides the failure broadcast: the moment the context
+	// dies, every stage sees f.done and drains. AfterFunc costs nothing on
+	// the clean path (no goroutine until cancellation).
 	stop := context.AfterFunc(cfg.Ctx, func() { f.fail(ctxErr(cfg.Ctx)) })
 	defer stop()
 
-	// Kernel stage: one stream queue on the scheduler (shared or per-call;
-	// see ensureSched). At most Depth stripes are in flight — ring slots
-	// bound the submissions — so the results send inside a task never
-	// blocks a pool worker.
+	// At most Depth stripes are in flight — ring slots bound the
+	// submissions — so the results send inside a task never blocks a pool
+	// worker.
 	q := cfg.Sched.NewQueue()
 	defer q.Close()
 
-	// Reader: sequential by nature (src is a stream); owns total/readStall
-	// until the final wait establishes happens-before.
-	var total int64
-	var readStall time.Duration
+	// Reader: sequential by nature (src and the shard readers are streams),
+	// so the stage's fill-side state is owned by this goroutine until the
+	// final wait establishes happens-before.
 	var wgRead sync.WaitGroup
 	wgRead.Add(1)
 	go func() {
@@ -410,32 +342,21 @@ func encodePipelined(c Codec, src io.Reader, shards []io.Writer, cfg Config, st 
 			case <-f.done:
 				return
 			}
-			data := s.buf.Raw()[:stripeBytes]
-			t0 := time.Now()
-			n, err := io.ReadFull(src, data)
-			readStall += time.Since(t0)
-			total += int64(n)
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				clear(data[n:])
-				err = nil
-			}
+			s.seq = seq
+			ok, err := sg.fill(s)
 			if err != nil {
-				f.fail(fmt.Errorf("gemmec: read source: %w", err))
+				f.fail(err)
 				return
 			}
-			s.seq, s.n = seq, n
+			if !ok {
+				return
+			}
 			q.Submit(s.run)
-			if n < stripeBytes {
-				return
-			}
 		}
 	}()
 
-	// In-order writer (this goroutine): reorder by sequence number so shard
-	// output is byte-identical to the serial path regardless of worker
+	// In-order writer (this goroutine): reorder by sequence number so the
+	// output is byte-identical to the inline driver regardless of worker
 	// completion order.
 	pending := make(map[int64]*slot, cfg.Depth)
 	var next int64
@@ -456,33 +377,93 @@ func encodePipelined(c Codec, src io.Reader, shards []io.Writer, cfg Config, st 
 			next++
 			if !f.failed() {
 				t1 := time.Now()
-				werr := writeStripe(shards, ss.buf.Raw(), k, r, unit)
+				n, werr := sg.emit(ss)
 				st.WriteStall += time.Since(t1)
 				if werr != nil {
 					f.fail(werr)
 				} else {
 					st.Stripes++
-					st.BytesOut += int64((k + r) * unit)
+					st.BytesOut += n
 				}
 			}
 			free <- ss // cap == Depth: never blocks
 		}
 	}
 	wgRead.Wait()
-	st.ReadStall = readStall
-	st.BytesIn = total
-	return total, f.err
+	return f.err
 }
 
-// writeStripe scatters the k data units and r parity units of one raw
-// stripe buffer to the shard writers.
-func writeStripe(shards []io.Writer, raw []byte, k, r, unit int) error {
-	for i := 0; i < k+r; i++ {
-		if _, err := shards[i].Write(raw[i*unit : (i+1)*unit]); err != nil {
-			return fmt.Errorf("gemmec: write shard %d: %w", i, err)
+// Encode streams src through the codec into the k+r shard writers and
+// returns the payload byte count. The caller must have validated shards
+// (length k+r, no nils); the length is rechecked here.
+func Encode(c Codec, src io.Reader, shards []io.Writer, cfg Config) (int64, Stats, error) {
+	cfg, err := norm(c, cfg)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	if len(shards) != c.K()+c.R() {
+		return 0, Stats{}, fmt.Errorf("pipeline: %d shard writers, want k+r=%d", len(shards), c.K()+c.R())
+	}
+	if cfg.Ctx.Err() != nil {
+		return 0, Stats{}, ctxErr(cfg.Ctx)
+	}
+	e := &encoder{c: c, k: c.K(), unit: c.UnitSize(), src: src, shards: shards}
+	st, err := drive(e, &e.one, cfg)
+	st.ReadStall, st.BytesIn = e.stall, e.in
+	return e.in, st, err
+}
+
+// encoder is the encode stage: src → padded data stripe → parity → k+r
+// shard writers.
+type encoder struct {
+	c       Codec
+	k, unit int
+	src     io.Reader
+	shards  []io.Writer
+
+	// Fill-side state, owned by the driver's reader.
+	in    int64         // payload bytes consumed from src
+	eof   bool          // src ended inside the last stripe read
+	stall time.Duration // time blocked reading src
+	one   slot          // the inline driver's slot
+}
+
+func (e *encoder) fill(s *slot) (bool, error) {
+	if e.eof {
+		return false, nil
+	}
+	data := s.buf.Raw()[:e.k*e.unit]
+	t0 := time.Now()
+	n, err := io.ReadFull(e.src, data)
+	e.stall += time.Since(t0)
+	e.in += int64(n)
+	switch {
+	case errors.Is(err, io.EOF):
+		return false, nil // clean end on a stripe boundary
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		clear(data[n:]) // padded final stripe
+		e.eof = true
+	case err != nil:
+		return false, fmt.Errorf("gemmec: read source: %w", err)
+	}
+	return true, nil
+}
+
+func (e *encoder) kernel(s *slot) error {
+	raw := s.buf.Raw()
+	return e.c.Encode(raw[:e.k*e.unit], raw[e.k*e.unit:len(e.shards)*e.unit])
+}
+
+// emit scatters the k data units and r parity units of the stripe to the
+// shard writers.
+func (e *encoder) emit(s *slot) (int64, error) {
+	raw := s.buf.Raw()
+	for i, w := range e.shards {
+		if _, err := w.Write(raw[i*e.unit : (i+1)*e.unit]); err != nil {
+			return 0, fmt.Errorf("gemmec: write shard %d: %w", i, err)
 		}
 	}
-	return nil
+	return int64(len(e.shards) * e.unit), nil
 }
 
 // Decode streams the shard readers through the codec into dst, emitting
@@ -490,55 +471,100 @@ func writeStripe(shards []io.Writer, raw []byte, k, r, unit int) error {
 // shards are reconstructed. The caller validates reader count and survivor
 // count; geometry is rechecked here.
 func Decode(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg Config) (Stats, error) {
-	var st Stats
 	cfg, err := norm(c, cfg)
 	if err != nil {
-		return st, err
+		return Stats{}, err
 	}
 	if len(shards) != c.K()+c.R() {
-		return st, fmt.Errorf("pipeline: %d shard readers, want k+r=%d", len(shards), c.K()+c.R())
+		return Stats{}, fmt.Errorf("pipeline: %d shard readers, want k+r=%d", len(shards), c.K()+c.R())
 	}
 	if size < 0 {
-		return st, fmt.Errorf("pipeline: negative stream size %d", size)
+		return Stats{}, fmt.Errorf("pipeline: negative stream size %d", size)
 	}
 	if cfg.Ctx.Err() != nil {
-		return st, ctxErr(cfg.Ctx)
+		return Stats{}, ctxErr(cfg.Ctx)
 	}
-	cfg, stopSched := ensureSched(cfg)
-	defer stopSched()
-	st.Workers, st.Depth = cfg.Workers, cfg.Depth
-	if cfg.Sched != nil {
-		st.Workers = cfg.Sched.Workers()
+	d := &decoder{
+		demoter:   newDemoter(shards, c.K(), c.UnitSize(), cfg.Verify),
+		c:         c,
+		dst:       dst,
+		remaining: size,
+		one:       slot{work: make([][]byte, len(shards))},
 	}
-	start := time.Now()
-	if cfg.Sched == nil {
-		err = decodeSerial(c, shards, dst, size, cfg, &st)
-	} else {
-		err = decodePipelined(c, shards, dst, size, cfg, &st)
-	}
-	st.Elapsed = time.Since(start)
+	st, err := drive(d, &d.one, cfg)
+	st.ReadStall, st.Demoted, st.BytesIn = d.stall, d.demoted, st.BytesOut
 	return st, err
 }
 
-// demoter owns the decode reader stage's view of the shard streams: which
-// are still trusted, which were demoted mid-stream, and whether enough
+// decoder is the decode stage: k+r shard streams → verified units →
+// reconstructed data units → dst.
+type decoder struct {
+	demoter
+	c   Codec
+	dst io.Writer
+
+	// Fill-side state, owned by the driver's reader.
+	remaining int64         // payload bytes not yet assigned to a stripe
+	stall     time.Duration // time blocked reading shard streams
+	one       slot          // the inline driver's slot
+}
+
+func (d *decoder) fill(s *slot) (bool, error) {
+	if d.remaining == 0 {
+		return false, nil
+	}
+	rebuild, err := d.fillSlot(s, &d.stall)
+	if err != nil {
+		return false, err
+	}
+	s.n = min(d.remaining, int64(d.k*d.unit))
+	s.rebuild = rebuild
+	d.remaining -= s.n
+	return true, nil
+}
+
+// kernel reconstructs the stripe's missing data units; stripes whose data
+// units all survived pass straight through.
+func (d *decoder) kernel(s *slot) error {
+	if !s.rebuild {
+		return nil
+	}
+	return d.c.ReconstructData(s.work)
+}
+
+// emit writes the stripe's data units to dst, trimming the final stripe
+// to the remaining payload length.
+func (d *decoder) emit(s *slot) (int64, error) {
+	left := s.n
+	for i := 0; i < d.k && left > 0; i++ {
+		u := s.work[i][:min(left, int64(d.unit))]
+		if _, err := d.dst.Write(u); err != nil {
+			return 0, fmt.Errorf("gemmec: write output: %w", err)
+		}
+		left -= int64(len(u))
+	}
+	return s.n, nil
+}
+
+// demoter owns the decode reader's view of the shard streams: which are
+// still trusted, which were demoted mid-stream, and whether enough
 // survive to cover k. A shard that fails — unit checksum mismatch,
 // truncation, read error — is demoted to erased from that stripe on: its
 // units are reconstructed for the rest of the stream instead of failing
-// the read. Exactly one goroutine (the reader stage) uses a demoter, so it
-// needs no locking; the pipeline's final wgRead.Wait() establishes
+// the read. Exactly one goroutine (the driver's reader) uses a demoter, so
+// it needs no locking; the driver's final join establishes
 // happens-before for the demotions it records.
 type demoter struct {
-	shards  []io.Reader
+	shards  []io.Reader // the caller's readers; never written
 	k, unit int
 	verify  UnitVerifier
 	alive   int
 	demoted []ecerr.Demotion
 }
 
-func newDemoter(shards []io.Reader, k, unit int, verify UnitVerifier) *demoter {
-	d := &demoter{shards: append([]io.Reader(nil), shards...), k: k, unit: unit, verify: verify}
-	for _, rd := range d.shards {
+func newDemoter(shards []io.Reader, k, unit int, verify UnitVerifier) demoter {
+	d := demoter{shards: shards, k: k, unit: unit, verify: verify}
+	for _, rd := range shards {
 		if rd != nil {
 			d.alive++
 		}
@@ -546,12 +572,24 @@ func newDemoter(shards []io.Reader, k, unit int, verify UnitVerifier) *demoter {
 	return d
 }
 
+// trusted reports whether shard i is present and not demoted.
+func (d *demoter) trusted(i int) bool {
+	if d.shards[i] == nil {
+		return false
+	}
+	for _, dm := range d.demoted {
+		if dm.Shard == i {
+			return false
+		}
+	}
+	return true
+}
+
 // demote marks shard i erased from stripe on. It returns nil while enough
 // shards survive to keep decoding, and the terminal error — wrapping the
 // Demotion (hence ErrShardDemoted and the cause) and ErrTooFewShards —
 // once the survivor count drops below k.
 func (d *demoter) demote(i int, stripe int64, cause error) error {
-	d.shards[i] = nil
 	d.alive--
 	d.demoted = append(d.demoted, ecerr.Demotion{Shard: i, Stripe: stripe, Cause: cause})
 	if d.alive < d.k {
@@ -561,16 +599,16 @@ func (d *demoter) demote(i int, stripe int64, cause error) error {
 	return nil
 }
 
-// fillSlot reads one stripe's worth of units from the trusted shard
-// streams into the slot, verifying each unit as it lands and demoting
-// shards that fail instead of failing the stream. It reports whether the
-// stripe needs reconstruction (some data unit is missing); err is non-nil
-// only when demotions leave fewer than k usable shards.
-func (d *demoter) fillSlot(s *slot, stripe int64, stall *time.Duration) (rebuild bool, err error) {
+// fillSlot reads stripe s.seq's units from the trusted shard streams into
+// the slot, verifying each unit as it lands and demoting shards that fail
+// instead of failing the stream. It reports whether the stripe needs
+// reconstruction (some data unit is missing); err is non-nil only when
+// demotions leave fewer than k usable shards.
+func (d *demoter) fillSlot(s *slot, stall *time.Duration) (rebuild bool, err error) {
 	raw := s.buf.Raw()
 	for i, rd := range d.shards {
-		if rd == nil {
-			s.work[i] = nil
+		s.work[i] = nil
+		if !d.trusted(i) {
 			continue
 		}
 		u := raw[i*d.unit : (i+1)*d.unit]
@@ -579,20 +617,18 @@ func (d *demoter) fillSlot(s *slot, stripe int64, stall *time.Duration) (rebuild
 		*stall += time.Since(t0)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-				rerr = fmt.Errorf("gemmec: shard %d truncated at stripe %d: %w (%w)", i, stripe, ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
+				rerr = fmt.Errorf("gemmec: shard %d truncated at stripe %d: %w (%w)", i, s.seq, ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
 			} else {
 				rerr = fmt.Errorf("gemmec: read shard %d: %w", i, rerr)
 			}
-			s.work[i] = nil
-			if err := d.demote(i, stripe, rerr); err != nil {
+			if err := d.demote(i, s.seq, rerr); err != nil {
 				return false, err
 			}
 			continue
 		}
 		if d.verify != nil {
-			if verr := d.verify.VerifyUnit(i, stripe, u); verr != nil {
-				s.work[i] = nil
-				if err := d.demote(i, stripe, verr); err != nil {
+			if verr := d.verify.VerifyUnit(i, s.seq, u); verr != nil {
+				if err := d.demote(i, s.seq, verr); err != nil {
 					return false, err
 				}
 				continue
@@ -600,194 +636,10 @@ func (d *demoter) fillSlot(s *slot, stripe int64, stall *time.Duration) (rebuild
 		}
 		s.work[i] = u
 	}
-	for i := 0; i < d.k; i++ {
-		if s.work[i] == nil {
+	for _, u := range s.work[:d.k] {
+		if u == nil {
 			return true, nil
 		}
 	}
 	return false, nil
-}
-
-// emitStripe writes the data units of one decoded stripe to dst, trimming
-// the final stripe to the remaining payload length.
-func emitStripe(dst io.Writer, work [][]byte, k, unit int, n int64) error {
-	emitted := int64(0)
-	for i := 0; i < k && emitted < n; i++ {
-		take := int64(unit)
-		if emitted+take > n {
-			take = n - emitted
-		}
-		if _, err := dst.Write(work[i][:take]); err != nil {
-			return fmt.Errorf("gemmec: write output: %w", err)
-		}
-		emitted += take
-	}
-	return nil
-}
-
-func decodeSerial(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg Config, st *Stats) error {
-	k, r, unit := c.K(), c.R(), c.UnitSize()
-	stripeBytes := int64(k * unit)
-	buf, err := cfg.Pool.Get()
-	if err != nil {
-		return err
-	}
-	defer cfg.Pool.Put(buf) //nolint:errcheck // geometry matches by construction
-	s := &slot{buf: buf, work: make([][]byte, k+r)}
-	d := newDemoter(shards, k, unit, cfg.Verify)
-	defer func() { st.Demoted = d.demoted }()
-
-	remaining := size
-	for remaining > 0 {
-		if cfg.Ctx.Err() != nil {
-			return ctxErr(cfg.Ctx)
-		}
-		rebuild, err := d.fillSlot(s, st.Stripes, &st.ReadStall)
-		if err != nil {
-			return err
-		}
-		if rebuild {
-			t0 := time.Now()
-			if err := c.ReconstructData(s.work); err != nil {
-				return err
-			}
-			st.EncodeStall += time.Since(t0)
-		}
-		n := stripeBytes
-		if remaining < n {
-			n = remaining
-		}
-		t1 := time.Now()
-		werr := emitStripe(dst, s.work, k, unit, n)
-		st.WriteStall += time.Since(t1)
-		if werr != nil {
-			return werr
-		}
-		st.Stripes++
-		st.BytesOut += n
-		remaining -= n
-	}
-	st.BytesIn = st.BytesOut
-	return nil
-}
-
-func decodePipelined(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg Config, st *Stats) error {
-	k, _, unit := c.K(), c.R(), c.UnitSize()
-	stripeBytes := int64(k * unit)
-	if size == 0 {
-		return nil
-	}
-	stripes := (size + stripeBytes - 1) / stripeBytes
-	slots, release, err := ring(c, cfg)
-	if err != nil {
-		return err
-	}
-	defer release()
-
-	free := make(chan *slot, cfg.Depth)
-	results := make(chan *slot, cfg.Depth)
-	f := newFailer()
-	// One reconstruction task per ring slot, built before traffic (see the
-	// encode path): steady-state stripes submit a prebuilt closure.
-	for _, s := range slots {
-		s := s
-		s.run = func() {
-			if f.failed() {
-				return
-			}
-			if s.rebuild {
-				if err := c.ReconstructData(s.work); err != nil {
-					f.fail(err)
-					return
-				}
-			}
-			results <- s
-		}
-		free <- s
-	}
-	// Cancellation latches into the failure broadcast exactly as a stage
-	// error would; the ring drains and Decode returns ctxErr.
-	stop := context.AfterFunc(cfg.Ctx, func() { f.fail(ctxErr(cfg.Ctx)) })
-	defer stop()
-
-	// Reconstruction stage: one stream queue on the scheduler. Only
-	// stripes with missing data units pay the kernel; surviving-stripe
-	// tasks pass straight through to the in-order writer.
-	q := cfg.Sched.NewQueue()
-	defer q.Close()
-
-	// Reader: gathers k+r units per stripe (sequential: shard readers are
-	// streams and must be consumed in stripe order). It owns the demoter —
-	// verification happens here, as units enter the ring, so a shard that
-	// fails its checksum mid-stream is erased for this and all later
-	// stripes while earlier (verified) stripes stand.
-	d := newDemoter(shards, k, unit, cfg.Verify)
-	var readStall time.Duration
-	var wgRead sync.WaitGroup
-	wgRead.Add(1)
-	go func() {
-		defer wgRead.Done()
-		defer close(results)
-		defer q.Wait() // every submitted task finishes before results closes
-		pprof.SetGoroutineLabels(readLabelCtx)
-		remaining := size
-		for seq := int64(0); seq < stripes; seq++ {
-			var s *slot
-			select {
-			case s = <-free:
-			case <-f.done:
-				return
-			}
-			rebuild, err := d.fillSlot(s, seq, &readStall)
-			if err != nil {
-				f.fail(err)
-				return
-			}
-			n := stripeBytes
-			if remaining < n {
-				n = remaining
-			}
-			remaining -= n
-			s.seq, s.n, s.rebuild = seq, int(n), rebuild
-			q.Submit(s.run)
-		}
-	}()
-
-	// In-order writer.
-	pending := make(map[int64]*slot, cfg.Depth)
-	var next int64
-	for {
-		t0 := time.Now()
-		s, ok := <-results
-		st.EncodeStall += time.Since(t0)
-		if !ok {
-			break
-		}
-		pending[s.seq] = s
-		for {
-			ss, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if !f.failed() {
-				t1 := time.Now()
-				werr := emitStripe(dst, ss.work, k, unit, int64(ss.n))
-				st.WriteStall += time.Since(t1)
-				if werr != nil {
-					f.fail(werr)
-				} else {
-					st.Stripes++
-					st.BytesOut += int64(ss.n)
-				}
-			}
-			free <- ss
-		}
-	}
-	wgRead.Wait()
-	st.ReadStall = readStall
-	st.Demoted = d.demoted
-	st.BytesIn = st.BytesOut
-	return f.err
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gemmec/internal/sched"
 	"gemmec/internal/stripe"
 )
 
@@ -106,6 +107,17 @@ func sinkSet(n int) ([]*bytes.Buffer, []io.Writer) {
 	return sinks, writers
 }
 
+// workerSched returns a scheduler with n workers, closed when the test
+// ends, or nil (the inline driver) for n == 1.
+func workerSched(t *testing.T, n int) *sched.Scheduler {
+	if n == 1 {
+		return nil
+	}
+	s := sched.New(sched.Config{Workers: n})
+	t.Cleanup(s.Close)
+	return s
+}
+
 func payload(seed int64, size int) []byte {
 	p := make([]byte, size)
 	rand.New(rand.NewSource(seed)).Read(p)
@@ -119,14 +131,14 @@ func TestEncodeOrderIdentical(t *testing.T) {
 	c := newXorCodec(4, 2, 64)
 	src := payload(7, 23*c.k*c.unit+17) // 24 stripes, padded tail
 	serialSinks, serialWriters := sinkSet(6)
-	nSerial, _, err := Encode(c, bytes.NewReader(src), serialWriters, Config{Workers: 1, Depth: 1})
+	nSerial, _, err := Encode(c, bytes.NewReader(src), serialWriters, Config{Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c.jitter = 200 * time.Microsecond
 	pipeSinks, pipeWriters := sinkSet(6)
-	nPipe, st, err := Encode(c, bytes.NewReader(src), pipeWriters, Config{Workers: 6, Depth: 12})
+	nPipe, st, err := Encode(c, bytes.NewReader(src), pipeWriters, Config{Sched: workerSched(t, 6), Depth: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +161,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	c := newXorCodec(5, 2, 32)
 	src := payload(9, 11*c.k*c.unit+5)
 	sinks, writers := sinkSet(7)
-	n, _, err := Encode(c, bytes.NewReader(src), writers, Config{Workers: 2, Depth: 4})
+	n, _, err := Encode(c, bytes.NewReader(src), writers, Config{Sched: workerSched(t, 2), Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +174,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		readers[2] = nil // lost data shard: every stripe reconstructs
 		readers[6] = nil // lost parity shard: irrelevant to decode
 		var out bytes.Buffer
-		st, err := Decode(c, readers, &out, n, Config{Workers: workers, Depth: 2 * workers})
+		st, err := Decode(c, readers, &out, n, Config{Sched: workerSched(t, workers), Depth: 2 * workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +205,7 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 // (not hang) at every worker count, and the ring must drain cleanly.
 func TestEncodeFailurePaths(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		cfg := Config{Workers: workers, Depth: 2 * workers}
+		cfg := Config{Sched: workerSched(t, workers), Depth: 2 * workers}
 		c := newXorCodec(3, 1, 16)
 		stripeBytes := c.k * c.unit
 
@@ -229,30 +241,27 @@ func TestDecodeTruncated(t *testing.T) {
 			readers[i] = bytes.NewReader(nil)
 		}
 		var out bytes.Buffer
-		if _, err := Decode(c, readers, &out, 10, Config{Workers: workers, Depth: workers}); err == nil {
+		if _, err := Decode(c, readers, &out, 10, Config{Sched: workerSched(t, workers), Depth: workers}); err == nil {
 			t.Errorf("workers=%d: truncated shard streams accepted", workers)
 		}
 	}
 }
 
-// TestConfigValidation: bad workers/depth/pool geometry are rejected.
+// TestConfigValidation: bad depth/pool geometry are rejected.
 func TestConfigValidation(t *testing.T) {
 	c := newXorCodec(3, 1, 16)
 	_, writers := sinkSet(4)
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Workers: 0, Depth: 1}); err == nil {
-		t.Error("workers=0 accepted")
-	}
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Workers: 1, Depth: 0}); err == nil {
+	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Depth: 0}); err == nil {
 		t.Error("depth=0 accepted")
 	}
 	wrong, err := stripe.NewPool(c.k, c.unit) // data-only geometry: too small
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Workers: 1, Depth: 1, Pool: wrong}); err == nil {
+	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Depth: 1, Pool: wrong}); err == nil {
 		t.Error("wrong pool geometry accepted")
 	}
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers[:3], Config{Workers: 1, Depth: 1}); err == nil {
+	if _, _, err := Encode(c, bytes.NewReader(nil), writers[:3], Config{Depth: 1}); err == nil {
 		t.Error("short writer slice accepted")
 	}
 }
@@ -266,7 +275,7 @@ func TestPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := payload(3, 10*c.k*c.unit)
-	cfg := Config{Workers: 3, Depth: 4, Pool: pool}
+	cfg := Config{Sched: workerSched(t, 3), Depth: 4, Pool: pool}
 	for i := 0; i < 5; i++ {
 		_, writers := sinkSet(6)
 		if _, _, err := Encode(c, bytes.NewReader(src), writers, cfg); err != nil {
@@ -296,7 +305,7 @@ func TestConcurrentStreams(t *testing.T) {
 			defer wg.Done()
 			src := payload(int64(g), (5+g)*c.k*c.unit+g*13)
 			sinks, writers := sinkSet(6)
-			n, _, err := Encode(c, bytes.NewReader(src), writers, Config{Workers: 3, Depth: 6, Pool: pool})
+			n, _, err := Encode(c, bytes.NewReader(src), writers, Config{Sched: workerSched(t, 3), Depth: 6, Pool: pool})
 			if err != nil {
 				errs <- err
 				return
@@ -307,7 +316,7 @@ func TestConcurrentStreams(t *testing.T) {
 			}
 			readers[g%c.k] = nil
 			var out bytes.Buffer
-			if _, err := Decode(c, readers, &out, n, Config{Workers: 3, Depth: 6, Pool: pool}); err != nil {
+			if _, err := Decode(c, readers, &out, n, Config{Sched: workerSched(t, 3), Depth: 6, Pool: pool}); err != nil {
 				errs <- err
 				return
 			}

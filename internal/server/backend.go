@@ -12,6 +12,8 @@ import (
 // admission control, instrumentation, and error taxonomy — fronts either
 // a single node's disks or a ring of networked peers.
 type Backend interface {
+	RangeOpener
+	Patcher
 	// Scheduler exposes the backend's shared encode/decode pool; the
 	// handler's admission gate rides its Admit/Release slots.
 	Scheduler() *gemmec.Scheduler
@@ -64,32 +66,27 @@ type RangedStream interface {
 	Range() (off, length int64)
 }
 
-// RangeOpener is implemented by backends that can open a byte window of
-// an object without decoding the rest; the handler honors HTTP Range
-// requests when it sees one. off == -1 requests the final length bytes
-// (suffix range); length == -1 requests from off to the end. An
-// unsatisfiable window fails with a *RangeError (HTTP 416).
+// RangeOpener opens a byte window of an object without decoding the
+// rest; the handler serves HTTP Range requests through it. off == -1
+// requests the final length bytes (suffix range); length == -1 requests
+// from off to the end. An unsatisfiable window fails with a *RangeError
+// (HTTP 416).
 type RangeOpener interface {
 	OpenRange(ctx context.Context, name string, off, length int64) (RangedStream, error)
 }
 
-// Patcher is implemented by backends that can splice bytes into a stored
-// object; the handler mounts PATCH /o/{name} when it sees one. off == -1
-// appends. The backend decides per object whether the write lands
-// stripe-granularly in place or as a read-modify-write (PatchStats says
-// which).
+// Patcher splices bytes into a stored object; the handler serves
+// PATCH /o/{name} through it. off == -1 appends. The backend decides per
+// object whether the write lands stripe-granularly in place or as a
+// read-modify-write (PatchStats says which).
 type Patcher interface {
 	Patch(ctx context.Context, name string, data []byte, off int64) (ObjectMeta, PatchStats, error)
 }
 
 var (
-	_ Backend     = (*Store)(nil)
-	_ Backend     = (*Gateway)(nil)
-	_ Rebuilder   = (*Gateway)(nil)
-	_ RangeOpener = (*Store)(nil)
-	_ Patcher     = (*Store)(nil)
-	_ RangeOpener = (*Gateway)(nil)
-	_ Patcher     = (*Gateway)(nil)
+	_ Backend   = (*Store)(nil)
+	_ Backend   = (*Gateway)(nil)
+	_ Rebuilder = (*Gateway)(nil)
 
 	_ ObjectStream = (*Object)(nil)
 	_ ObjectStream = (*gatewayObject)(nil)

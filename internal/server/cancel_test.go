@@ -75,7 +75,7 @@ func waitCounter(t *testing.T, what string, probe func() int64, want int64) {
 }
 
 func TestClientDisconnectMidPut(t *testing.T) {
-	s, m, ts := newMetricsServer(t)
+	s, m, ts := newMetricsServer(t, Config{})
 	const name = "half-upload"
 	key := objKey(name)
 
@@ -129,7 +129,7 @@ func TestClientDisconnectMidPut(t *testing.T) {
 }
 
 func TestClientDisconnectMidGet(t *testing.T) {
-	s, m, ts := newMetricsServer(t)
+	s, m, ts := newMetricsServer(t, Config{})
 	const name = "big-download"
 	key := objKey(name)
 	mustPut(t, s, name, randBytes(5, 8<<20))
@@ -206,7 +206,7 @@ func TestPutDeleteLockRace(t *testing.T) {
 }
 
 func TestMaxObjectSize413(t *testing.T) {
-	s, _, ts := newMetricsServer(t, WithMaxObjectSize(4096))
+	s, _, ts := newMetricsServer(t, Config{MaxObjectSize: 4096})
 	big := randBytes(3, 16384)
 
 	// Declared oversize: refused before any shard I/O.
@@ -275,7 +275,7 @@ func (r *trickleReader) Read(p []byte) (int, error) {
 }
 
 func TestRequestTimeout504(t *testing.T) {
-	s, m, ts := newMetricsServer(t, WithRequestTimeout(150*time.Millisecond))
+	s, m, ts := newMetricsServer(t, Config{RequestTimeout: 150 * time.Millisecond})
 	const name = "too-slow"
 
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/o/"+name,

@@ -127,54 +127,6 @@ type Config struct {
 	RetryAfter int
 }
 
-// HandlerOption configures optional handler behavior for the deprecated
-// variadic constructor.
-//
-// Deprecated: populate Config and call NewHandler instead.
-type HandlerOption func(*handler)
-
-// WithMetrics wires the metrics bundle into the request path.
-//
-// Deprecated: set Config.Metrics.
-func WithMetrics(m *Metrics) HandlerOption {
-	return func(h *handler) { h.metrics = m }
-}
-
-// WithScrubber wires scrub-loop liveness into /healthz.
-//
-// Deprecated: set Config.Scrubber.
-func WithScrubber(sc *Scrubber) HandlerOption {
-	return func(h *handler) { h.scrubber = sc }
-}
-
-// WithAccessLog emits one structured JSON line per request to l.
-//
-// Deprecated: set Config.AccessLog.
-func WithAccessLog(l *obs.Logger) HandlerOption {
-	return func(h *handler) { h.accessLog = l }
-}
-
-// WithSlowRequestThreshold logs and counts requests slower than d.
-//
-// Deprecated: set Config.SlowRequestThreshold.
-func WithSlowRequestThreshold(d time.Duration) HandlerOption {
-	return func(h *handler) { h.slowReq = d }
-}
-
-// WithRequestTimeout bounds every request's context.
-//
-// Deprecated: set Config.RequestTimeout.
-func WithRequestTimeout(d time.Duration) HandlerOption {
-	return func(h *handler) { h.reqTimeout = d }
-}
-
-// WithMaxObjectSize rejects PUTs larger than n bytes with 413.
-//
-// Deprecated: set Config.MaxObjectSize.
-func WithMaxObjectSize(n int64) HandlerOption {
-	return func(h *handler) { h.maxObject = n }
-}
-
 // NewHandler serves store over HTTP. It is NewBackendHandler fixed to
 // the local single-node Store — the signature every pre-cluster caller
 // compiled against.
@@ -218,9 +170,7 @@ func NewBackendHandler(backend Backend, cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /o/{name...}", h.wrap("put", true, h.put))
 	mux.HandleFunc("GET /o/{name...}", h.wrap("get", true, h.get))
-	if _, ok := backend.(Patcher); ok {
-		mux.HandleFunc("PATCH /o/{name...}", h.wrap("patch", true, h.patch))
-	}
+	mux.HandleFunc("PATCH /o/{name...}", h.wrap("patch", true, h.patch))
 	mux.HandleFunc("DELETE /o/{name...}", h.wrap("delete", false, h.delete))
 	mux.HandleFunc("GET /objects", h.wrap("list", false, h.list))
 	mux.HandleFunc("POST /scrub", h.wrap("scrub", false, h.scrub))
@@ -236,26 +186,6 @@ func NewBackendHandler(backend Backend, cfg Config) http.Handler {
 		mux.Handle("GET /tracez", h.tracer.Handler())
 	}
 	return mux
-}
-
-// NewHandlerOptions is the pre-Config variadic constructor, kept so
-// existing callers compile unchanged.
-//
-// Deprecated: populate Config and call NewHandler instead.
-func NewHandlerOptions(store *Store, logf Logf, opts ...HandlerOption) http.Handler {
-	h := &handler{}
-	for _, o := range opts {
-		o(h)
-	}
-	return NewHandler(store, Config{
-		Logf:                 logf,
-		Metrics:              h.metrics,
-		Scrubber:             h.scrubber,
-		AccessLog:            h.accessLog,
-		SlowRequestThreshold: h.slowReq,
-		RequestTimeout:       h.reqTimeout,
-		MaxObjectSize:        h.maxObject,
-	})
 }
 
 type handler struct {
@@ -681,20 +611,17 @@ func parseRangeHeader(v string) (off, length int64, ok bool) {
 }
 
 // openForGet opens the object, honoring a well-formed single bytes Range
-// header when the backend can seek. ranged reports whether the response
+// header. ranged reports whether the response
 // must be a 206. A nil stream with handled == true means the response
 // (416 or an error) was already written.
 func (h *handler) openForGet(w http.ResponseWriter, r *http.Request, name string) (o ObjectStream, ranged bool, handled bool) {
 	hv := r.Header.Get("Range")
-	ro, seekable := h.store.(RangeOpener)
-	if seekable {
-		w.Header().Set("Accept-Ranges", "bytes")
-	}
+	w.Header().Set("Accept-Ranges", "bytes")
 	// HEAD ignores Range (RFC 9110 allows it; our HEAD describes the
 	// whole object). Anything unparseable falls through to a full 200.
-	if hv != "" && seekable && r.Method != http.MethodHead {
+	if hv != "" && r.Method != http.MethodHead {
 		if off, length, ok := parseRangeHeader(hv); ok {
-			rs, err := ro.OpenRange(r.Context(), name, off, length)
+			rs, err := h.store.OpenRange(r.Context(), name, off, length)
 			var re *RangeError
 			switch {
 			case errors.As(err, &re):
@@ -840,11 +767,6 @@ func parsePatchOffset(r *http.Request) (int64, error) {
 var ErrBadPatchRange = errors.New("server: bad patch range")
 
 func (h *handler) patch(w http.ResponseWriter, r *http.Request) {
-	p, ok := h.store.(Patcher)
-	if !ok { // route is only mounted for Patcher backends; belt and braces
-		http.Error(w, "backend cannot patch objects", http.StatusNotImplemented)
-		return
-	}
 	name := r.PathValue("name")
 	off, err := parsePatchOffset(r)
 	if err != nil {
@@ -864,7 +786,7 @@ func (h *handler) patch(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, r, err)
 		return
 	}
-	meta, ps, err := p.Patch(r.Context(), name, data, off)
+	meta, ps, err := h.store.Patch(r.Context(), name, data, off)
 	if err != nil {
 		h.fail(w, r, err)
 		return

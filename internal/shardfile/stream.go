@@ -87,14 +87,14 @@ func (o Opts) code(k, r, unitSize int) (*gemmec.Code, error) {
 }
 
 // streamOpts translates the worker knob into stream options: the shared
-// scheduler when Opts carries one (legacy per-call worker pool otherwise),
-// plus the shared stripe pool when a Source supplies one.
+// scheduler when Opts carries one (the workers count otherwise), plus the
+// shared stripe pool when a Source supplies one.
 func (o Opts) streamOpts(k, r, unitSize, workers int) []gemmec.StreamOption {
 	opts := make([]gemmec.StreamOption, 0, 4)
 	if o.Sched != nil {
 		opts = append(opts, gemmec.WithStreamScheduler(o.Sched))
 	} else {
-		opts = append(opts, gemmec.WithStreamWorkers(workers)) //nolint:staticcheck // legacy path kept for scheduler-less callers
+		opts = append(opts, gemmec.WithStreamWorkers(workers))
 	}
 	if o.Source != nil {
 		if p, err := o.Source.StreamPool(k, r, unitSize); err == nil && p != nil {

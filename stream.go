@@ -7,18 +7,21 @@ import (
 	"runtime"
 
 	"gemmec/internal/pipeline"
+	"gemmec/internal/sched"
 	"gemmec/internal/stripe"
 )
 
 // Streaming interface: encode an arbitrary-length stream into k+r shard
 // streams and read it back, reconstructing from parity when data shard
-// streams are missing. Stripes flow through a pipelined engine
-// (internal/pipeline): a bounded ring of pooled stripe buffers is filled
-// by a reader stage, encoded (or reconstructed) by a configurable number
-// of concurrent kernel workers, and drained by an in-order writer, so the
-// compiled kernel (§5's integration argument) is never idle behind serial
-// I/O. Shard output is byte-identical regardless of worker count: the
-// writer reorders stripes by sequence number.
+// streams are missing. Stripes flow through one engine
+// (internal/pipeline): with more than one worker, a bounded ring of
+// pooled stripe buffers is filled by a reader stage, encoded (or
+// reconstructed) on a scheduler's kernel workers, and drained by an
+// in-order writer, so the compiled kernel (§5's integration argument) is
+// never idle behind serial I/O; with one worker the same stages run
+// inline on the caller's goroutine. Shard output is byte-identical
+// regardless of worker count: the writer reorders stripes by sequence
+// number.
 
 // StreamStats reports what one stream call did and where it waited; see
 // the field docs for how to read the stall times. Request it with
@@ -49,16 +52,11 @@ var errNilScheduler = fmt.Errorf("gemmec: stream scheduler is nil")
 type StreamOption func(*streamConfig) error
 
 // WithStreamWorkers sets how many stripes are encoded (or reconstructed)
-// concurrently. 1 selects the serial path (no goroutines). The default is
-// GOMAXPROCS capped at 8.
-//
-// Deprecated: worker count is a process resource, not a stream detail.
-// With n > 1 the stream builds a private per-call scheduler (a pool that
-// lives and dies with the call) — exactly the setup/teardown cost and
-// CPU oversubscription WithStreamScheduler exists to amortize. Share one
-// NewScheduler pool across streams instead; WithStreamWorkers is ignored
-// when a scheduler is attached. Zero-option calls and n == 1 (the serial
-// path) behave byte-identically to previous releases and stay supported.
+// concurrently. 1 runs the stream inline on the caller's goroutine — no
+// scheduler, no goroutines. n > 1 builds a private per-call scheduler
+// with n workers, torn down when the call returns; streams that run side
+// by side should share one pool via WithStreamScheduler instead, which
+// overrides this option. The default is GOMAXPROCS capped at 8.
 func WithStreamWorkers(n int) StreamOption {
 	return func(c *streamConfig) error {
 		if n < 1 {
@@ -76,7 +74,7 @@ func WithStreamWorkers(n int) StreamOption {
 // Deprecated: depth still works — it bounds the stream's stripe ring
 // under WithStreamScheduler too — but tuning it per call predates the
 // shared-scheduler API and the default is right in practice. Kept as a
-// compatibility shim alongside WithStreamWorkers.
+// thin compatibility wrapper.
 func WithStreamDepth(n int) StreamOption {
 	return func(c *streamConfig) error {
 		if n < 1 {
@@ -177,12 +175,20 @@ func (c *Code) streamConfig(opts []StreamOption) (streamConfig, error) {
 	return cfg, nil
 }
 
-func (cfg streamConfig) pipeline() pipeline.Config {
-	pc := pipeline.Config{Workers: cfg.workers, Depth: cfg.depth, Pool: cfg.pool, Verify: cfg.verify, Ctx: cfg.ctx}
-	if cfg.sched != nil {
+// pipeline is the one place stream options become a driver choice: the
+// shared scheduler when one is attached, the inline driver (no scheduler)
+// for one worker, and otherwise a private scheduler with that many
+// workers, returned so the caller closes it when the call ends.
+func (cfg streamConfig) pipeline() (pc pipeline.Config, private *sched.Scheduler) {
+	pc = pipeline.Config{Depth: max(cfg.depth, cfg.workers), Pool: cfg.pool, Verify: cfg.verify, Ctx: cfg.ctx}
+	switch {
+	case cfg.sched != nil:
 		pc.Sched = cfg.sched.s
+	case cfg.workers > 1:
+		private = sched.New(sched.Config{Workers: cfg.workers})
+		pc.Sched = private
 	}
-	return pc
+	return pc, private
 }
 
 // EncodeStream reads src until EOF, erasure-codes it stripe by stripe, and
@@ -191,9 +197,9 @@ func (cfg streamConfig) pipeline() pipeline.Config {
 // the true length (the returned byte count) to trim on decode.
 //
 // With the default options encoding is pipelined across GOMAXPROCS (up to
-// 8) kernel workers; shard output is byte-identical to the serial path.
-// Tune with WithStreamWorkers, WithStreamDepth, WithStreamPool, and
-// observe the pipeline with WithStreamStats.
+// 8) kernel workers; shard output is byte-identical to the inline
+// one-worker run. Tune with WithStreamScheduler, WithStreamWorkers and
+// WithStreamPool, and observe the pipeline with WithStreamStats.
 func (c *Code) EncodeStream(src io.Reader, shards []io.Writer, opts ...StreamOption) (int64, error) {
 	k, r := c.K(), c.R()
 	if len(shards) != k+r {
@@ -208,7 +214,11 @@ func (c *Code) EncodeStream(src io.Reader, shards []io.Writer, opts ...StreamOpt
 	if err != nil {
 		return 0, err
 	}
-	n, st, err := pipeline.Encode(c, src, shards, cfg.pipeline())
+	pc, private := cfg.pipeline()
+	if private != nil {
+		defer private.Close()
+	}
+	n, st, err := pipeline.Encode(c, src, shards, pc)
 	if cfg.stats != nil {
 		*cfg.stats = st
 	}
@@ -253,7 +263,11 @@ func (c *Code) DecodeStream(shards []io.Reader, dst io.Writer, size int64, opts 
 	if err != nil {
 		return err
 	}
-	st, err := pipeline.Decode(c, shards, dst, size, cfg.pipeline())
+	pc, private := cfg.pipeline()
+	if private != nil {
+		defer private.Close()
+	}
+	st, err := pipeline.Decode(c, shards, dst, size, pc)
 	if cfg.stats != nil {
 		*cfg.stats = st
 	}

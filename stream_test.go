@@ -384,7 +384,8 @@ func (p *firstWriteProbe) Write(b []byte) (int, error) {
 
 // TestStreamVerifierDemotion: a unit-level corruption caught by the
 // verifier demotes the shard mid-stream and the decode still produces
-// byte-identical output, reporting the demotion in the stats.
+// byte-identical output, reporting the demotion in the stats — on the
+// inline driver, a per-call scheduler and a shared one alike.
 func TestStreamVerifierDemotion(t *testing.T) {
 	c := newSmall(t, 4, 2)
 	src := make([]byte, 5*c.DataSize()+7)
@@ -392,28 +393,47 @@ func TestStreamVerifierDemotion(t *testing.T) {
 	shards, sums := encodeToShards(t, c, src)
 	shards[1][2*c.UnitSize()+3] ^= 0x80 // stripe 2 of shard 1
 
-	readers := make([]io.Reader, len(shards))
-	for i := range shards {
-		readers[i] = bytes.NewReader(shards[i])
-	}
-	var out bytes.Buffer
-	var st StreamStats
-	err := c.DecodeStream(readers, &out, int64(len(src)),
-		WithStreamWorkers(2), WithStreamVerifier(newCRCVerifier(sums)), WithStreamStats(&st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), src) {
-		t.Fatal("output differs after mid-stream demotion")
-	}
-	if len(st.Demoted) != 1 || st.Demoted[0].Shard != 1 || st.Demoted[0].Stripe != 2 {
-		t.Fatalf("Demoted = %+v, want shard 1 at stripe 2", st.Demoted)
-	}
-	if !errors.Is(st.Demoted[0], ErrShardDemoted) {
-		t.Errorf("demotion %v does not match ErrShardDemoted", st.Demoted[0])
-	}
-	if !errors.Is(st.Demoted[0].Cause, ErrCorruptShard) {
-		t.Errorf("demotion cause %v does not wrap ErrCorruptShard", st.Demoted[0].Cause)
+	s := NewScheduler(SchedulerConfig{Workers: 2})
+	defer s.Close()
+	var first *StreamStats
+	for _, tc := range []struct {
+		name string
+		opt  StreamOption
+	}{
+		{"inline", WithStreamWorkers(1)},
+		{"per-call", WithStreamWorkers(2)},
+		{"shared", WithStreamScheduler(s)},
+	} {
+		readers := make([]io.Reader, len(shards))
+		for i := range shards {
+			readers[i] = bytes.NewReader(shards[i])
+		}
+		var out bytes.Buffer
+		var st StreamStats
+		err := c.DecodeStream(readers, &out, int64(len(src)),
+			tc.opt, WithStreamVerifier(newCRCVerifier(sums)), WithStreamStats(&st))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(out.Bytes(), src) {
+			t.Fatalf("%s: output differs after mid-stream demotion", tc.name)
+		}
+		if len(st.Demoted) != 1 || st.Demoted[0].Shard != 1 || st.Demoted[0].Stripe != 2 {
+			t.Fatalf("%s: Demoted = %+v, want shard 1 at stripe 2", tc.name, st.Demoted)
+		}
+		if !errors.Is(st.Demoted[0], ErrShardDemoted) {
+			t.Errorf("%s: demotion %v does not match ErrShardDemoted", tc.name, st.Demoted[0])
+		}
+		if !errors.Is(st.Demoted[0].Cause, ErrCorruptShard) {
+			t.Errorf("%s: demotion cause %v does not wrap ErrCorruptShard", tc.name, st.Demoted[0].Cause)
+		}
+		// Demoted is pinned per run above; the byte and stripe counts
+		// must match the inline run's too.
+		if first == nil {
+			first = &st
+		} else if st.Stripes != first.Stripes || st.BytesIn != first.BytesIn || st.BytesOut != first.BytesOut {
+			t.Errorf("%s: stats %+v differ from inline %+v", tc.name, st, *first)
+		}
 	}
 }
 
